@@ -1,5 +1,5 @@
 //! Criterion bench: serial emulation throughput, expanded vs run-aware,
-//! plus the arena-vs-pointer walk and the PSR2-vs-JSON decode legs.
+//! plus the PSR2-vs-JSON decode leg.
 //!
 //! The run-aware fast paths make FF prediction cost scale with the
 //! *compressed* tree (one closed-form advance per RLE run) instead of
@@ -9,20 +9,16 @@
 //! criteria gate on:
 //!
 //! * run-aware over expanded (`throughput_ratio`),
-//! * flat-arena walk over pointer-tree walk (`flat_walk.flat_over_ptr`),
 //! * PSR2 binary decode over serde-JSON decode on the largest shipped
 //!   workload profile (`decode.speedup`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ffemu::{predict, predict_flat, predict_ptr, FfOptions};
+use ffemu::{predict, FfOptions};
 use machsim::Schedule;
 use omp_rt::OmpOverheads;
 use proftree::visit::logical_node_count;
-use proftree::{compress_tree, CompressOptions, FlatTree, ProgramTree, TreeBuilder};
+use proftree::{compress_tree, CompressOptions, ProgramTree, TreeBuilder};
 use prophet_core::{codec, Profiled, Prophet};
-use workloads::npb::{Cg, Ep, Ft, Is, Mg};
-use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
-use workloads::{Benchmark, PipelineParams, PipelineWl, Test1, Test1Params, Test2, Test2Params};
 
 /// A parallel loop with `iters` near-uniform iterations: exactly the
 /// shape RLE compression collapses to a handful of runs, so the
@@ -66,17 +62,6 @@ fn time_predict(tree: &ProgramTree, expand_runs: bool, reps: u32) -> f64 {
 }
 
 #[derive(serde::Serialize)]
-struct FlatWalkBench {
-    nodes: u64,
-    flat_seconds: f64,
-    ptr_seconds: f64,
-    flat_nodes_per_sec: f64,
-    ptr_nodes_per_sec: f64,
-    /// Pointer time over arena time: ≥ 1.0 means the flat walk wins.
-    flat_over_ptr: f64,
-}
-
-#[derive(serde::Serialize)]
 struct DecodeBench {
     workload: String,
     json_bytes: u64,
@@ -97,61 +82,28 @@ struct EmuBench {
     expanded_nodes_per_sec: f64,
     runaware_nodes_per_sec: f64,
     throughput_ratio: f64,
-    flat_walk: FlatWalkBench,
     decode: DecodeBench,
 }
 
-/// Arena walk vs pointer walk over the *uncompressed* loop tree: with
-/// no RLE runs to fast-path, run-aware prediction visits every one of
-/// the `2·iters + 2` nodes, so the two legs time the same traversal
-/// over the two memory layouts. The arena is prebuilt — this measures
-/// the walk, not `FlatTree::from_tree`.
-fn time_flat_walk(iters: u64, reps: u32) -> FlatWalkBench {
-    let tree = big_loop(iters);
-    let flat = FlatTree::from_tree(&tree);
-    let nodes = tree.len() as u64;
-    let (mut flat_s, mut ptr_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let f = predict_flat(&flat, opts(false));
-        flat_s = flat_s.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        let p = predict_ptr(&tree, opts(false));
-        ptr_s = ptr_s.min(t0.elapsed().as_secs_f64());
-        assert_eq!(f.predicted_cycles, p.predicted_cycles);
-    }
-    FlatWalkBench {
-        nodes,
-        flat_seconds: flat_s,
-        ptr_seconds: ptr_s,
-        flat_nodes_per_sec: nodes as f64 / flat_s,
-        ptr_nodes_per_sec: nodes as f64 / ptr_s,
-        flat_over_ptr: ptr_s / flat_s,
-    }
-}
-
-fn all_workloads() -> Vec<(&'static str, Box<dyn Benchmark>)> {
-    vec![
-        ("md", Box::new(Md::paper()) as Box<dyn Benchmark>),
-        ("lu", Box::new(Lu::paper())),
-        ("fft", Box::new(Fft::paper())),
-        ("qsort", Box::new(QSort::paper())),
-        ("pi", Box::new(Pi::paper())),
-        ("mandelbrot", Box::new(Mandelbrot::paper())),
-        ("jacobi", Box::new(Jacobi::paper())),
-        ("ep", Box::new(Ep::paper())),
-        ("ft", Box::new(Ft::paper())),
-        ("mg", Box::new(Mg::paper())),
-        ("cg", Box::new(Cg::paper())),
-        ("is", Box::new(Is::paper())),
-        (
-            "pipeline",
-            Box::new(PipelineWl::new(PipelineParams::transcoder(120))),
-        ),
-        ("test1", Box::new(Test1::new(Test1Params::random(3)))),
-        ("test2", Box::new(Test2::new(Test2Params::random(3)))),
-    ]
-}
+/// The paper-size workloads the decode leg picks from, by registry
+/// name.
+const WORKLOADS: [&str; 15] = [
+    "md",
+    "lu",
+    "fft",
+    "qsort",
+    "pi",
+    "mandelbrot",
+    "jacobi",
+    "ep",
+    "ft",
+    "mg",
+    "cg",
+    "is",
+    "pipeline",
+    "test1:3",
+    "test2:3",
+];
 
 /// PSR2 vs serde-JSON decode on the largest shipped workload profile
 /// (largest by JSON size — the profile a busy store is most likely to
@@ -167,9 +119,10 @@ fn time_decode(reps: u32) -> DecodeBench {
             },
         ))
         .build();
-    let (name, json, bin) = all_workloads()
+    let (name, json, bin) = WORKLOADS
         .into_iter()
-        .map(|(name, w)| {
+        .map(|name| {
+            let w = workloads::by_name(name).expect("registry name");
             let p = prophet.profile(w.as_ref());
             let json = serde_json::to_string(&p).expect("profile serialises");
             let mut bin = Vec::new();
@@ -216,7 +169,6 @@ fn record_throughput() {
         expanded_nodes_per_sec: logical as f64 / expanded,
         runaware_nodes_per_sec: logical as f64 / runaware,
         throughput_ratio: expanded / runaware,
-        flat_walk: time_flat_walk(trip_count, 10),
         decode: time_decode(30),
     };
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -234,11 +186,7 @@ fn record_throughput() {
         path.display()
     );
     eprintln!(
-        "emu: flat walk {:.1} Mnodes/s vs pointer {:.1} Mnodes/s ({:.2}x); \
-         decode[{}] PSR2 {:.0} µs vs JSON {:.0} µs ({:.1}x, {} vs {} bytes)",
-        record.flat_walk.flat_nodes_per_sec / 1e6,
-        record.flat_walk.ptr_nodes_per_sec / 1e6,
-        record.flat_walk.flat_over_ptr,
+        "emu: decode[{}] PSR2 {:.0} µs vs JSON {:.0} µs ({:.1}x, {} vs {} bytes)",
         record.decode.workload,
         record.decode.psr2_seconds * 1e6,
         record.decode.json_seconds * 1e6,

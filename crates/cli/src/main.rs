@@ -84,71 +84,8 @@ use machsim::{Paradigm, Schedule};
 use prophet_core::tracer::AnnotatedProgram;
 use prophet_core::{diagnose, Emulator, PredictOptions, Prophet, SpeedupReport};
 use sweep::{GridSpec, PredictorSpec, SweepEngine, WorkloadSpec};
-use workloads::npb::{Cg, Ep, Ft, Is, Mg};
-use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
 use workloads::spec::{BenchSpec, Benchmark};
-use workloads::{
-    run_real, NumaSkew, PipelineParams, PipelineWl, RealOptions, TaskDag, Test1, Test1Params,
-    Test2, Test2Params,
-};
-
-fn workload(name: &str) -> Option<Box<dyn Benchmark>> {
-    Some(match name {
-        "md" => Box::new(Md::paper()),
-        "lu" => Box::new(Lu::paper()),
-        "fft" => Box::new(Fft::paper()),
-        "qsort" => Box::new(QSort::paper()),
-        "pi" => Box::new(Pi::paper()),
-        "mandelbrot" => Box::new(Mandelbrot::paper()),
-        "jacobi" => Box::new(Jacobi::paper()),
-        "ep" => Box::new(Ep::paper()),
-        "ft" => Box::new(Ft::paper()),
-        "mg" => Box::new(Mg::paper()),
-        "cg" => Box::new(Cg::paper()),
-        "is" => Box::new(Is::paper()),
-        "pipeline" => Box::new(PipelineWl::new(PipelineParams::transcoder(120))),
-        "dag" => Box::new(TaskDag::paper()),
-        "numaskew" => Box::new(NumaSkew::paper()),
-        s if s.starts_with("test1:") => {
-            let seed = s[6..].parse().ok()?;
-            Box::new(Test1::new(Test1Params::random(seed)))
-        }
-        s if s.starts_with("test2:") => {
-            let seed = s[6..].parse().ok()?;
-            Box::new(Test2::new(Test2Params::random(seed)))
-        }
-        _ => return None,
-    })
-}
-
-const WORKLOADS: &[(&str, &str)] = &[
-    ("md", "OmpSCR molecular dynamics (compute-bound O(n²))"),
-    (
-        "lu",
-        "OmpSCR LU reduction (inner-loop parallelism, triangular)",
-    ),
-    ("fft", "OmpSCR recursive FFT (Cilk, bandwidth-hungry)"),
-    ("qsort", "OmpSCR quicksort (Cilk, partition-bound)"),
-    ("pi", "OmpSCR Pi integration (reduction lock)"),
-    ("mandelbrot", "OmpSCR Mandelbrot (fractal imbalance)"),
-    ("jacobi", "OmpSCR Jacobi stencil (bandwidth-bound)"),
-    ("ep", "NPB EP (embarrassingly parallel)"),
-    ("ft", "NPB FT 3-D FFT (bandwidth saturation)"),
-    ("mg", "NPB MG multigrid (bandwidth-bound)"),
-    ("cg", "NPB CG conjugate gradient (irregular gather)"),
-    ("is", "NPB IS integer sort (serial prefix phases)"),
-    ("pipeline", "4-stage transcoder pipeline (§VII-E extension)"),
-    (
-        "dag",
-        "fork-join reduction DAG with stragglers + pipelined tail",
-    ),
-    (
-        "numaskew",
-        "NUMA-skewed scan (remote-socket penalty, lock reduce)",
-    ),
-    ("test1:<seed>", "random Fig. 9 validation program"),
-    ("test2:<seed>", "random Fig. 10 validation program (nested)"),
-];
+use workloads::{by_name, run_real, RealOptions, NAMED};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TraceFormat {
@@ -252,6 +189,19 @@ fn parse_schedule(s: Option<&str>) -> Schedule {
         .unwrap_or_else(|| die("bad schedule (static | static-N | dynamic-N | guided-N)"))
 }
 
+/// A `--threads` list: comma-separated counts, each at least 1 (an
+/// empty list or item fails to parse). No upper cap: the FF predicts
+/// for arbitrary CPU counts.
+fn parse_threads(s: &str) -> Result<Vec<u32>, String> {
+    s.split(',')
+        .map(|x| match x.trim().parse() {
+            Ok(0) => Err("thread counts must be at least 1".to_string()),
+            Ok(t) => Ok(t),
+            Err(_) => Err(format!("bad thread count '{}'", x.trim())),
+        })
+        .collect()
+}
+
 fn parse_predictor(s: &str) -> PredictorSpec {
     // `-mm` disables the memory model for that series; bare `ff`/`syn`
     // (and `+mm`) keep it on.
@@ -307,10 +257,7 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--threads" => {
                 let v = it.next().unwrap_or_else(|| die("--threads needs a list"));
-                args.threads = v
-                    .split(',')
-                    .map(|x| x.trim().parse().unwrap_or_else(|_| die("bad thread count")))
-                    .collect();
+                args.threads = parse_threads(&v).unwrap_or_else(|e| die(&e));
             }
             "--schedule" => {
                 args.schedule = parse_schedule(it.next().as_deref());
@@ -544,13 +491,13 @@ fn try_parse_sweep_workloads(list: &str) -> Result<Vec<WorkloadSpec>, String> {
                 continue;
             }
         }
-        if workload(tok).is_none() {
+        if by_name(tok).is_none() {
             return Err(format!("unknown workload '{tok}'"));
         }
         let name = tok.to_string();
         out.push(WorkloadSpec::program(
             name.clone(),
-            move || -> Box<dyn AnnotatedProgram> { workload(&name).expect("validated workload") },
+            move || -> Box<dyn AnnotatedProgram> { by_name(&name).expect("validated workload") },
         ));
     }
     if out.is_empty() {
@@ -568,7 +515,8 @@ fn get_workload(args: &Args) -> (Box<dyn Benchmark>, BenchSpec) {
         .workload
         .as_deref()
         .unwrap_or_else(|| die("this command needs a workload; see `prophet list`"));
-    let w = workload(name).unwrap_or_else(|| die(&format!("unknown workload '{name}'")));
+    let w: Box<dyn Benchmark> =
+        by_name(name).unwrap_or_else(|| die(&format!("unknown workload '{name}'")));
     let spec = w.spec();
     (w, spec)
 }
@@ -609,7 +557,7 @@ fn main() {
             );
         }
         "list" => {
-            for (name, desc) in WORKLOADS {
+            for (name, desc) in NAMED {
                 println!("{name:<14} {desc}");
             }
         }
@@ -1453,5 +1401,21 @@ trait FlattenNone {
 impl FlattenNone for Option<f64> {
     fn flatten_none(self) -> Option<f64> {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_lists_reject_zero_and_empty() {
+        assert_eq!(parse_threads("2, 4,8"), Ok(vec![2, 4, 8]));
+        assert_eq!(parse_threads("1000"), Ok(vec![1000]));
+        assert!(parse_threads("0").is_err());
+        assert!(parse_threads("2,0,4").is_err());
+        assert!(parse_threads("").is_err());
+        assert!(parse_threads("2,,4").is_err());
+        assert!(parse_threads("two").is_err());
     }
 }

@@ -29,21 +29,17 @@
 //! The FF targets an abstract machine, so unlike the synthesizer it can
 //! predict for arbitrary CPU counts (Table III).
 //!
-//! The emulator core is generic over [`proftree::TreeView`]: the public
-//! entry points flatten the pointer tree into a [`FlatTree`] arena once
-//! and walk the contiguous run buffer ([`predict_flat`] skips even that
-//! conversion when the caller already holds an arena), while
-//! [`predict_ptr`] runs the identical monomorphised code over the
-//! pointer tree. Both views yield the same logical traversal, so the
-//! predictions are bit-identical (pinned in `tests/ff_runaware.rs`).
+//! The emulator walks a [`FlatTree`] arena: the public entry points
+//! flatten the pointer tree once and walk the contiguous run buffer, and
+//! [`predict_flat`] skips even that conversion when the caller already
+//! holds an arena.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::marker::PhantomData;
 
 use machsim::Schedule;
 use omp_rt::{Dispenser, OmpOverheads};
-use proftree::{burden_factor, Cycles, FlatTree, LockId, NodeId, ProgramTree, TreeView, ViewKind};
+use proftree::{burden_factor, Cycles, FlatTree, LockId, NodeId, ProgramTree, ViewKind};
 use serde::{Deserialize, Serialize};
 
 /// Record an event on the emulation's recorder at emulated time `$t`.
@@ -138,10 +134,9 @@ struct RunCost {
     cost: u64,
 }
 
-/// Emulator state shared across a whole program emulation, generic over
-/// the tree representation.
-struct FfState<'t, V: TreeView<'t>> {
-    view: V,
+/// Emulator state shared across a whole program emulation.
+struct FfState<'t> {
+    tree: &'t FlatTree,
     opts: FfOptions,
     /// Global per-CPU busy-until clock (nested sections book time on other
     /// CPUs through this — the paper's round-robin nested model).
@@ -168,13 +163,12 @@ struct FfState<'t, V: TreeView<'t>> {
     /// Structured event recorder (emulated-time timestamps).
     #[cfg(feature = "obs")]
     obs: Option<prophet_obs::ObsHandle>,
-    _tree: PhantomData<&'t ()>,
 }
 
-impl<'t, V: TreeView<'t>> FfState<'t, V> {
-    fn new(view: V, opts: FfOptions) -> Self {
+impl<'t> FfState<'t> {
+    fn new(tree: &'t FlatTree, opts: FfOptions) -> Self {
         FfState {
-            view,
+            tree,
             opts,
             cpu_time: vec![0; opts.cpus.max(1) as usize],
             lock_free: HashMap::new(),
@@ -186,14 +180,13 @@ impl<'t, V: TreeView<'t>> FfState<'t, V> {
             counters: FfCounters::default(),
             #[cfg(feature = "obs")]
             obs: None,
-            _tree: PhantomData,
         }
     }
 }
 
 /// Record the begin/end of a top-level emulated section span.
 #[cfg(feature = "obs")]
-fn obs_section_span<'t, V: TreeView<'t>>(st: &FfState<'t, V>, begin: bool, idx: usize, t: u64) {
+fn obs_section_span(st: &FfState<'_>, begin: bool, idx: usize, t: u64) {
     if let Some(h) = st.obs.as_ref() {
         let label = h.intern(&format!("sec{idx}"));
         let kind = if begin {
@@ -230,8 +223,7 @@ struct CpuRun {
 ///
 /// Flattens the tree into a [`FlatTree`] arena and emulates over the
 /// contiguous buffer; use [`predict_flat`] to amortise the conversion
-/// across predictions, or [`predict_ptr`] to force the pointer-tree
-/// walk (bit-identical, slower).
+/// across predictions.
 pub fn predict(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
     predict_counting(tree, opts).0
 }
@@ -250,17 +242,7 @@ pub fn predict_flat(flat: &FlatTree, opts: FfOptions) -> FfPrediction {
 
 /// [`predict_flat`], additionally returning the fast-path counters.
 pub fn predict_counting_flat(flat: &FlatTree, opts: FfOptions) -> (FfPrediction, FfCounters) {
-    run_on(flat, opts)
-}
-
-/// Predict over the pointer tree without flattening — the baseline leg
-/// of the arena-vs-pointer benchmark and equivalence tests.
-pub fn predict_ptr(tree: &ProgramTree, opts: FfOptions) -> FfPrediction {
-    run_on(tree, opts).0
-}
-
-fn run_on<'t, V: TreeView<'t>>(view: V, opts: FfOptions) -> (FfPrediction, FfCounters) {
-    let mut st = FfState::new(view, opts);
+    let mut st = FfState::new(flat, opts);
     let p = predict_run(&mut st);
     (p, st.counters)
 }
@@ -287,16 +269,16 @@ pub fn predict_with_obs(
     predict_run(&mut st)
 }
 
-fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
-    let view = st.view;
+fn predict_run(st: &mut FfState<'_>) -> FfPrediction {
+    let tree = st.tree;
     let opts = st.opts;
-    let serial_cycles = view.total_length();
+    let serial_cycles = tree.total_length();
     let mut now = 0u64;
     let mut sections = Vec::new();
-    for child in view.expanded(view.root()) {
-        match view.kind(child) {
+    for child in tree.expanded(FlatTree::ROOT) {
+        match tree.kind(child) {
             ViewKind::U => {
-                now += view.length(child);
+                now += tree.length(child);
             }
             ViewKind::Sec { burden, .. } => {
                 let factor = if opts.use_burden {
@@ -313,7 +295,7 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                 let end = emulate_section(st, child, 0, now, factor);
                 #[cfg(feature = "obs")]
                 obs_section_span(st, false, sections.len(), end);
-                sections.push((view.length(child), end - now));
+                sections.push((tree.length(child), end - now));
                 now = end;
             }
             ViewKind::Pipe { burden, .. } => {
@@ -331,11 +313,11 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
                     emulate_pipe(st, child, now, factor)
                 } else {
                     // Tool without pipeline support: serial execution.
-                    now + scale(view.length(child), factor)
+                    now + scale(tree.length(child), factor)
                 };
                 #[cfg(feature = "obs")]
                 obs_section_span(st, false, sections.len(), end);
-                sections.push((view.length(child), end - now));
+                sections.push((tree.length(child), end - now));
                 now = end;
             }
             other => unreachable!("invalid top-level node {}", other.tag()),
@@ -361,8 +343,8 @@ fn predict_run<'t, V: TreeView<'t>>(st: &mut FfState<'t, V>) -> FfPrediction {
 /// `start + dispatches·dispatch_ovh + Σ_assigned (iter_start + body)`,
 /// a sum of the identical u64 terms the heap path accumulates one pop at
 /// a time — so the result is bit-identical, computed in O(ranks × runs).
-fn fastpath_section<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
+fn fastpath_section(
+    st: &mut FfState<'_>,
     sec: NodeId,
     host: usize,
     start: u64,
@@ -381,7 +363,7 @@ fn fastpath_section<'t, V: TreeView<'t>>(
         Schedule::Static { chunk } => chunk,
         _ => return None,
     };
-    let view = st.view;
+    let tree = st.tree;
     let opts = st.opts;
 
     // Steadiness check + per-run cost table. `cost` is one iteration of
@@ -389,7 +371,7 @@ fn fastpath_section<'t, V: TreeView<'t>>(
     // the table and the memo are recycled across activations: the table
     // through a pool, the memo through a dense stamped array (a fresh
     // stamp invalidates every entry at once).
-    let nc = view.node_count();
+    let nc = tree.len();
     if st.cost_stamp.len() < nc {
         st.cost_stamp.resize(nc, 0);
         st.cost_val.resize(nc, None);
@@ -400,15 +382,15 @@ fn fastpath_section<'t, V: TreeView<'t>>(
     run_costs.clear();
     let mut n_total = 0u64;
     let mut steady = true;
-    for (task, count) in view.child_runs(sec) {
+    for (task, count) in tree.child_runs(sec) {
         let ti = task as usize;
         if st.cost_stamp[ti] != stamp {
             let mut c = Some(opts.overheads.iter_start);
-            for (op, k) in view.child_runs(task) {
-                match view.kind(op) {
+            for (op, k) in tree.child_runs(task) {
+                match tree.kind(op) {
                     ViewKind::U => {
                         if let Some(c) = c.as_mut() {
-                            *c += k as u64 * scale(view.length(op), burden);
+                            *c += k as u64 * scale(tree.length(op), burden);
                         }
                     }
                     _ => {
@@ -504,21 +486,15 @@ fn fastpath_section<'t, V: TreeView<'t>>(
 
 /// Emulate one section hosted by `host`, starting at `start`. Returns the
 /// section end time (after the implicit barrier and join overhead).
-fn emulate_section<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
-    sec: NodeId,
-    host: usize,
-    start: u64,
-    burden: f64,
-) -> u64 {
+fn emulate_section(st: &mut FfState<'_>, sec: NodeId, host: usize, start: u64, burden: f64) -> u64 {
     if let Some(end) = fastpath_section(st, sec, host, start, burden) {
         return end;
     }
-    let view = st.view;
+    let tree = st.tree;
     let n = st.cpu_time.len();
     let mut tasks = st.task_buf_pool.pop().unwrap_or_default();
     tasks.clear();
-    tasks.extend(view.expanded(sec));
+    tasks.extend(tree.expanded(sec));
     if tasks.is_empty() {
         st.task_buf_pool.push(tasks);
         return start + st.opts.overheads.parallel_start + st.opts.overheads.parallel_end;
@@ -599,7 +575,7 @@ fn emulate_section<'t, V: TreeView<'t>>(
                 // across the section's tasks, so steady state allocates
                 // nothing per task.
                 runs[i].ops.clear();
-                runs[i].ops.extend(view.expanded(task));
+                runs[i].ops.extend(tree.expanded(task));
             }
             heap.push(Reverse((runs[i].time, i)));
             continue;
@@ -607,9 +583,9 @@ fn emulate_section<'t, V: TreeView<'t>>(
 
         // Execute exactly one op, then requeue.
         let op = runs[i].ops.pop_front().expect("checked non-empty");
-        match view.kind(op) {
+        match tree.kind(op) {
             ViewKind::U => {
-                runs[i].time += scale(view.length(op), burden);
+                runs[i].time += scale(tree.length(op), burden);
             }
             ViewKind::L { lock } => {
                 let free = st.lock_free.get(&lock).copied().unwrap_or(0);
@@ -627,7 +603,7 @@ fn emulate_section<'t, V: TreeView<'t>>(
                     );
                 }
                 let released =
-                    acquired + scale(view.length(op), burden) + st.opts.overheads.lock_release;
+                    acquired + scale(tree.length(op), burden) + st.opts.overheads.lock_release;
                 obs_at!(
                     st,
                     acquired,
@@ -672,32 +648,27 @@ fn emulate_section<'t, V: TreeView<'t>>(
 /// machine has fewer CPUs than stages the OS time-slices the stage
 /// threads, so the emulated end is additionally lower-bounded by
 /// `work / cpus` (the resource limit).
-fn emulate_pipe<'t, V: TreeView<'t>>(
-    st: &mut FfState<'t, V>,
-    pipe: NodeId,
-    start: u64,
-    burden: f64,
-) -> u64 {
+fn emulate_pipe(st: &mut FfState<'_>, pipe: NodeId, start: u64, burden: f64) -> u64 {
     use std::collections::HashMap as Map;
-    let view = st.view;
+    let tree = st.tree;
     let n = st.cpu_time.len() as u64;
     let body_start = start + st.opts.overheads.parallel_start;
     let mut stage_clock: Map<u32, u64> = Map::new();
     let mut end = body_start;
     let mut total_work: u64 = 0;
-    for item in view.expanded(pipe) {
+    for item in tree.expanded(pipe) {
         let mut prev_stage_end = body_start;
-        for stage in view.expanded(item) {
-            let s = match view.kind(stage) {
+        for stage in tree.expanded(item) {
+            let s = match tree.kind(stage) {
                 ViewKind::Stage { stage } => stage,
                 other => unreachable!("invalid node under pipe item: {}", other.tag()),
             };
             let clock = stage_clock.entry(s).or_insert(body_start);
             let mut t = prev_stage_end.max(*clock) + st.opts.overheads.iter_start;
-            for op in view.expanded(stage) {
-                match view.kind(op) {
+            for op in tree.expanded(stage) {
+                match tree.kind(op) {
                     ViewKind::U => {
-                        let len = scale(view.length(op), burden);
+                        let len = scale(tree.length(op), burden);
                         total_work += len;
                         t += len;
                     }
@@ -708,7 +679,7 @@ fn emulate_pipe<'t, V: TreeView<'t>>(
                         if contended {
                             acquired += st.opts.contended_lock_penalty;
                         }
-                        let len = scale(view.length(op), burden);
+                        let len = scale(tree.length(op), burden);
                         total_work += len;
                         let released = acquired + len + st.opts.overheads.lock_release;
                         st.lock_free.insert(lock, released);
@@ -984,21 +955,10 @@ mod tests {
             .collect();
         let tree = lock_loop(&iters);
         let (ctree, _) = proftree::compress_tree(&tree, proftree::CompressOptions::default());
+        // The arena the emulator walks must present exactly the pointer
+        // tree's node data, plain and compressed.
         for t in [&tree, &ctree] {
-            let flat = FlatTree::from_tree(t);
-            for cpus in [1u32, 3, 8] {
-                for sched in [
-                    Schedule::static_block(),
-                    Schedule::static1(),
-                    Schedule::dynamic1(),
-                ] {
-                    let a = predict_ptr(t, zero_opts(cpus, sched));
-                    let b = predict_flat(&flat, zero_opts(cpus, sched));
-                    assert_eq!(a.predicted_cycles, b.predicted_cycles);
-                    assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-                    assert_eq!(a.sections, b.sections);
-                }
-            }
+            assert_eq!(FlatTree::from_tree(t).diff(t), None);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Flat arena program trees and the generic tree-view abstraction.
+//! Flat arena program trees: the one representation the emulators walk.
 //!
 //! A [`ProgramTree`] is already arena-allocated (ids index one `Vec`),
 //! but each node's child list is a separate heap allocation and the
@@ -30,21 +30,17 @@
 //! The conversion is **lossless**: [`FlatTree::to_tree`] rebuilds the
 //! exact original [`ProgramTree`] — same node ids, same `Plain`/`Rle`
 //! child-list variants, same lengths, names, burden entries, and memory
-//! profiles — which is what lets the emulators adopt the flat view
-//! while every prediction stays byte-identical to the pointer path
-//! (pinned in `tests/ff_runaware.rs`).
-//!
-//! [`TreeView`] is the read-only trait both emulators are generic over:
-//! implemented for `&ProgramTree` (the pointer baseline) and
-//! `&FlatTree` (the default hot path), so the two instantiations are
-//! the *same* monomorphised arithmetic over different memory layouts.
+//! profiles. The pointer tree stays the reference as *data*:
+//! [`FlatTree::diff`] checks every accessor the emulators read against
+//! the source tree's own node data (pinned in `tests/ff_runaware.rs`
+//! across the workload matrix).
 
 use std::collections::HashMap;
 
 use crate::node::{
     BurdenTable, ChildList, Cycles, LockId, MemProfile, Node, NodeId, NodeKind, ProgramTree, Run,
 };
-use crate::visit::RunSeq;
+use crate::visit::{expanded_children, run_seq};
 
 /// Node-kind values packed into the low bits of [`FlatNode::tag`].
 const K_ROOT: u8 = 0;
@@ -357,6 +353,41 @@ impl FlatTree {
         }
     }
 
+    /// The node's child runs as `(node, count)` pairs, in order.
+    pub fn child_runs(&self, id: NodeId) -> FlatRuns<'_> {
+        FlatRuns {
+            runs: self.runs_of(id).iter(),
+        }
+    }
+
+    /// The node's logical children (runs expanded), in order.
+    pub fn expanded(&self, id: NodeId) -> ExpandRuns<FlatRuns<'_>> {
+        ExpandRuns::new(self.child_runs(id))
+    }
+
+    /// Total length of top-level serial (U) computation under the root.
+    pub fn top_level_serial_length(&self) -> Cycles {
+        self.runs_of(Self::ROOT)
+            .iter()
+            .filter(|r| matches!(self.kind(r.node), ViewKind::U))
+            .map(|r| r.total_length)
+            .sum()
+    }
+
+    /// Flat ids of top-level parallel regions (Sec/Pipe) in program order.
+    pub fn top_level_regions(&self) -> Vec<NodeId> {
+        self.runs_of(Self::ROOT)
+            .iter()
+            .filter(|r| {
+                matches!(
+                    self.kind(r.node),
+                    ViewKind::Sec { .. } | ViewKind::Pipe { .. }
+                )
+            })
+            .map(|r| r.node)
+            .collect()
+    }
+
     /// Approximate bytes of the flat representation (all arenas).
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<FlatTree>()
@@ -426,11 +457,85 @@ impl FlatTree {
         }
         ProgramTree::from_nodes(nodes)
     }
+
+    /// The first place where this arena disagrees with `tree`, its
+    /// source, or `None` when it mirrors it exactly: [`Self::to_tree`]
+    /// rebuilds `tree`, and for every node the kind (tag, name, nowait,
+    /// lock, stage, burden entries), the length, the child runs and the
+    /// expanded child sequence, mapped back through [`Self::orig_id`],
+    /// equal the pointer tree's own node data. The top-level serial
+    /// length and region list must agree too. This is the whole surface
+    /// the emulators read, checked against the reference data rather
+    /// than against a second walk.
+    pub fn diff(&self, tree: &ProgramTree) -> Option<String> {
+        if self.to_tree() != *tree {
+            return Some("to_tree() does not rebuild the source tree".into());
+        }
+        for o in 0..tree.len() as NodeId {
+            let f = self.flat_id(o);
+            let node = tree.node(o);
+            let same_kind = match (&node.kind, self.kind(f)) {
+                (NodeKind::Root, ViewKind::Root)
+                | (NodeKind::Task { .. }, ViewKind::Task)
+                | (NodeKind::U, ViewKind::U) => true,
+                (
+                    NodeKind::Sec {
+                        name,
+                        nowait,
+                        burden,
+                        ..
+                    },
+                    ViewKind::Sec {
+                        name: n,
+                        nowait: w,
+                        burden: b,
+                    },
+                ) => name == n && *nowait == w && burden.entries() == b,
+                (NodeKind::L { lock }, ViewKind::L { lock: l }) => *lock == l,
+                (NodeKind::Pipe { name, burden, .. }, ViewKind::Pipe { name: n, burden: b }) => {
+                    name == n && burden.entries() == b
+                }
+                (NodeKind::Stage { stage }, ViewKind::Stage { stage: s }) => *stage == s,
+                _ => false,
+            };
+            if self.orig_id(f) != o || !same_kind || self.length(f) != node.length {
+                return Some(format!("node {o} (flat {f}): kind or length differs"));
+            }
+            if !self
+                .child_runs(f)
+                .map(|(c, k)| (self.orig_id(c), k))
+                .eq(run_seq(tree, o))
+            {
+                return Some(format!("node {o} (flat {f}): child runs differ"));
+            }
+            if !self
+                .expanded(f)
+                .map(|c| self.orig_id(c))
+                .eq(expanded_children(tree, o))
+            {
+                return Some(format!("node {o} (flat {f}): expanded children differ"));
+            }
+        }
+        if self.total_length() != tree.total_length()
+            || self.top_level_serial_length() != tree.top_level_serial_length()
+        {
+            return Some("top-level lengths differ".into());
+        }
+        let regions: Vec<NodeId> = self
+            .top_level_regions()
+            .iter()
+            .map(|&f| self.orig_id(f))
+            .collect();
+        if regions != tree.top_level_sections() {
+            return Some("top-level regions differ".into());
+        }
+        None
+    }
 }
 
-/// Borrowed view of one node's kind, shared by both [`TreeView`]
-/// implementations. Burden tables appear as their raw entry slices
-/// (feed them to [`crate::node::burden_factor`]).
+/// Borrowed view of one [`FlatTree`] node's kind. Burden tables appear
+/// as their raw entry slices (feed them to
+/// [`crate::node::burden_factor`]).
 #[derive(Debug, Clone, Copy)]
 pub enum ViewKind<'a> {
     /// Whole-program node.
@@ -483,8 +588,7 @@ impl ViewKind<'_> {
 }
 
 /// Iterator expanding `(node, count)` runs into the logical child
-/// sequence (the run-aware mirror of
-/// [`crate::visit::ExpandedChildren`], but over any [`TreeView`]).
+/// sequence (the arena mirror of [`crate::visit::ExpandedChildren`]).
 pub struct ExpandRuns<I> {
     inner: I,
     cur: Option<(NodeId, u32)>,
@@ -527,148 +631,6 @@ impl Iterator for FlatRuns<'_> {
 
     fn next(&mut self) -> Option<(NodeId, u32)> {
         self.runs.next().map(|r| (r.node, r.count))
-    }
-}
-
-/// Read-only program-tree view the emulators are generic over.
-///
-/// Implemented for `&ProgramTree` (pointer baseline) and `&FlatTree`
-/// (contiguous arena, the default hot path). Both yield identical
-/// logical traversals — same child sequences, run multiplicities,
-/// lengths, and burden entries — so the monomorphised emulator
-/// arithmetic is bit-identical across implementations; only node *ids*
-/// differ (flat ids are DFS positions), and ids never enter any
-/// computed quantity.
-pub trait TreeView<'t>: Copy {
-    /// Iterator over one node's child runs as `(node, count)` pairs.
-    type Runs: Iterator<Item = (NodeId, u32)>;
-
-    /// Root node id.
-    fn root(self) -> NodeId;
-    /// Number of stored nodes (dense ids `0..node_count`).
-    fn node_count(self) -> usize;
-    /// The node's kind.
-    fn kind(self, id: NodeId) -> ViewKind<'t>;
-    /// The node's length in cycles.
-    fn length(self, id: NodeId) -> Cycles;
-    /// The node's child runs, in order.
-    fn child_runs(self, id: NodeId) -> Self::Runs;
-    /// The node's logical children (runs expanded), in order.
-    fn expanded(self, id: NodeId) -> ExpandRuns<Self::Runs> {
-        ExpandRuns::new(self.child_runs(id))
-    }
-    /// Total serial execution length (root length).
-    fn total_length(self) -> Cycles;
-    /// Total length of top-level serial (U) computation under the root.
-    fn top_level_serial_length(self) -> Cycles;
-    /// Ids of top-level parallel regions (Sec/Pipe) in program order.
-    fn top_level_regions(self) -> Vec<NodeId>;
-}
-
-impl<'t> TreeView<'t> for &'t ProgramTree {
-    type Runs = RunSeq<'t>;
-
-    fn root(self) -> NodeId {
-        ProgramTree::ROOT
-    }
-
-    fn node_count(self) -> usize {
-        self.len()
-    }
-
-    fn kind(self, id: NodeId) -> ViewKind<'t> {
-        match &self.node(id).kind {
-            NodeKind::Root => ViewKind::Root,
-            NodeKind::Sec {
-                name,
-                nowait,
-                burden,
-                ..
-            } => ViewKind::Sec {
-                name,
-                nowait: *nowait,
-                burden: burden.entries(),
-            },
-            NodeKind::Task { .. } => ViewKind::Task,
-            NodeKind::U => ViewKind::U,
-            NodeKind::L { lock } => ViewKind::L { lock: *lock },
-            NodeKind::Pipe { name, burden, .. } => ViewKind::Pipe {
-                name,
-                burden: burden.entries(),
-            },
-            NodeKind::Stage { stage } => ViewKind::Stage { stage: *stage },
-        }
-    }
-
-    fn length(self, id: NodeId) -> Cycles {
-        self.node(id).length
-    }
-
-    fn child_runs(self, id: NodeId) -> RunSeq<'t> {
-        RunSeq::new(self, id)
-    }
-
-    fn total_length(self) -> Cycles {
-        ProgramTree::total_length(self)
-    }
-
-    fn top_level_serial_length(self) -> Cycles {
-        ProgramTree::top_level_serial_length(self)
-    }
-
-    fn top_level_regions(self) -> Vec<NodeId> {
-        self.top_level_sections()
-    }
-}
-
-impl<'t> TreeView<'t> for &'t FlatTree {
-    type Runs = FlatRuns<'t>;
-
-    fn root(self) -> NodeId {
-        FlatTree::ROOT
-    }
-
-    fn node_count(self) -> usize {
-        self.len()
-    }
-
-    fn kind(self, id: NodeId) -> ViewKind<'t> {
-        FlatTree::kind(self, id)
-    }
-
-    fn length(self, id: NodeId) -> Cycles {
-        FlatTree::length(self, id)
-    }
-
-    fn child_runs(self, id: NodeId) -> FlatRuns<'t> {
-        FlatRuns {
-            runs: self.runs_of(id).iter(),
-        }
-    }
-
-    fn total_length(self) -> Cycles {
-        FlatTree::total_length(self)
-    }
-
-    fn top_level_serial_length(self) -> Cycles {
-        self.runs_of(FlatTree::ROOT)
-            .iter()
-            .filter(|r| matches!(self.kind(r.node), ViewKind::U))
-            .map(|r| r.total_length)
-            .sum()
-    }
-
-    fn top_level_regions(self) -> Vec<NodeId> {
-        self.runs_of(FlatTree::ROOT)
-            .iter()
-            .filter(|r| {
-                matches!(
-                    self.kind(r.node),
-                    ViewKind::Sec { .. } | ViewKind::Pipe { .. }
-                )
-            })
-            .map(|r| r.node)
-            .collect()
     }
 }
 
@@ -754,48 +716,23 @@ mod tests {
 
     #[test]
     fn view_matches_pointer_view() {
+        // The fixture mixes plain and RLE child lists.
         let tree = rle_tree();
         let flat = FlatTree::from_tree(&tree);
-        let pv: &ProgramTree = &tree;
-        let fv: &FlatTree = &flat;
-        assert_eq!(pv.total_length(), fv.total_length());
+        assert_eq!(flat.diff(&tree), None);
+        assert_eq!(flat.top_level_serial_length(), 10);
+        assert_eq!(flat.top_level_regions(), vec![flat.flat_id(1)]);
+        let sec = flat.flat_id(1);
         assert_eq!(
-            TreeView::top_level_serial_length(pv),
-            TreeView::top_level_serial_length(fv)
+            flat.child_runs(sec).map(|(_, k)| k).collect::<Vec<_>>(),
+            [3, 2]
         );
-        // Regions agree modulo the id mapping.
-        let pr = TreeView::top_level_regions(pv);
-        let fr = TreeView::top_level_regions(fv);
-        assert_eq!(pr, fr.iter().map(|&f| flat.orig_id(f)).collect::<Vec<_>>());
-        // Every node's expanded child sequence agrees modulo mapping,
-        // and kinds/lengths/burdens line up.
-        for o in 0..tree.len() as NodeId {
-            let f = flat.flat_id(o);
-            assert_eq!(pv.length(o), fv.length(f), "node {o}");
-            let pk = pv.kind(o);
-            let fk = fv.kind(f);
-            assert_eq!(pk.tag(), fk.tag(), "node {o}");
-            if let (
-                ViewKind::Sec {
-                    name: pn,
-                    nowait: pw,
-                    burden: pb,
-                },
-                ViewKind::Sec {
-                    name: fname,
-                    nowait: fw,
-                    burden: fb,
-                },
-            ) = (pk, fk)
-            {
-                assert_eq!(pn, fname);
-                assert_eq!(pw, fw);
-                assert_eq!(pb, fb);
-            }
-            let pe: Vec<NodeId> = pv.expanded(o).collect();
-            let fe: Vec<NodeId> = fv.expanded(f).map(|c| flat.orig_id(c)).collect();
-            assert_eq!(pe, fe, "node {o}");
-        }
+        assert_eq!(flat.expanded(sec).count(), 5);
+
+        // A source the arena was not built from is reported.
+        let mut other = tree.clone();
+        other.node_mut(6).length = 11;
+        assert!(flat.diff(&other).is_some());
     }
 
     #[test]

@@ -645,23 +645,6 @@ impl ProfileStore {
         }
     }
 
-    /// Open (creating if absent) the store in `dir` with default
-    /// [`StoreOptions`].
-    #[deprecated(since = "0.2.0", note = "use ProfileStore::builder(dir).open()")]
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, ProphetError> {
-        Self::open_impl(dir.into(), StoreOptions::default())
-    }
-
-    /// Open (creating if absent) the store in `dir` with explicit
-    /// options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ProfileStore::builder(dir) and its setters"
-    )]
-    pub fn open_with(dir: impl Into<PathBuf>, opts: StoreOptions) -> Result<Self, ProphetError> {
-        Self::open_impl(dir.into(), opts)
-    }
-
     /// Open (creating if absent) the store in `dir`, scanning and
     /// CRC-validating every log. Sealed segments listed by the manifest
     /// are scanned first (in manifest order), then the active log with
@@ -1669,7 +1652,7 @@ impl InspectReport {
 }
 
 /// Scan and CRC-verify the logs in a store directory without opening
-/// (or repairing) the store. Unlike [`ProfileStore::open_with`], a CRC
+/// (or repairing) the store. Unlike [`StoreBuilder::open`], a CRC
 /// mismatch does not stop the scan — the frame's lengths still chain —
 /// so the report lists every reachable record with its verdict. Never
 /// modifies the directory.

@@ -31,14 +31,13 @@
 //! real machine").
 
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::rc::Rc;
 
 use cilk_rt::{run_program_cilk_on, CilkOverheads};
 use machsim::prog::{POp, ParSection, Paradigm, ParallelProgram, Schedule, TaskBody, TaskList};
 use machsim::{MachineConfig, RunError, WorkPacket};
 use omp_rt::{run_program_on, OmpOverheads};
-use proftree::{burden_factor, FlatTree, NodeId, ProgramTree, TreeView, ViewKind};
+use proftree::{burden_factor, FlatTree, NodeId, ProgramTree, ViewKind};
 use serde::{Deserialize, Serialize};
 
 /// Options for one synthesizer prediction.
@@ -117,9 +116,9 @@ pub struct SynthPrediction {
     pub sections: Vec<SectionEmul>,
 }
 
-/// IR generation state for one section, generic over the tree view.
-struct Gen<'t, V: TreeView<'t>> {
-    view: V,
+/// IR generation state for one section.
+struct Gen<'t> {
+    tree: &'t FlatTree,
     factor: f64,
     opts: SynthOptions,
     memo: HashMap<NodeId, Rc<TaskBody>>,
@@ -128,10 +127,9 @@ struct Gen<'t, V: TreeView<'t>> {
     ovh_memo: HashMap<NodeId, u64>,
     /// Total synthesizer-overhead cycles emitted (logical).
     overhead_emitted: u64,
-    _tree: PhantomData<&'t ()>,
 }
 
-impl<'t, V: TreeView<'t>> Gen<'t, V> {
+impl Gen<'_> {
     fn scale(&self, len: u64) -> u64 {
         if (self.factor - 1.0).abs() < 1e-12 {
             len
@@ -159,13 +157,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
             return b;
         }
         let mut ops = Vec::new();
-        let view = self.view;
-        for child in view.expanded(task) {
-            match view.kind(child) {
+        let tree = self.tree;
+        for child in tree.expanded(task) {
+            match tree.kind(child) {
                 ViewKind::U => {
                     self.overhead_emitted += self.opts.access_node_overhead;
                     ops.push(POp::Work(WorkPacket::cpu(
-                        self.scale(view.length(child)) + self.opts.access_node_overhead,
+                        self.scale(tree.length(child)) + self.opts.access_node_overhead,
                     )));
                 }
                 ViewKind::L { lock } => {
@@ -175,7 +173,7 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
                     }
                     ops.push(POp::Locked {
                         lock,
-                        work: WorkPacket::cpu(self.scale(view.length(child))),
+                        work: WorkPacket::cpu(self.scale(tree.length(child))),
                     });
                 }
                 ViewKind::Sec { .. } => {
@@ -198,13 +196,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     /// Convert the U/L children of a Stage node into stage ops.
     fn stage_ops(&mut self, stage: NodeId) -> Vec<POp> {
         let mut ops = Vec::new();
-        let view = self.view;
-        for child in view.expanded(stage) {
-            match view.kind(child) {
+        let tree = self.tree;
+        for child in tree.expanded(stage) {
+            match tree.kind(child) {
                 ViewKind::U => {
                     self.overhead_emitted += self.opts.access_node_overhead;
                     ops.push(POp::Work(WorkPacket::cpu(
-                        self.scale(view.length(child)) + self.opts.access_node_overhead,
+                        self.scale(tree.length(child)) + self.opts.access_node_overhead,
                     )));
                 }
                 ViewKind::L { lock } => {
@@ -214,7 +212,7 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
                     }
                     ops.push(POp::Locked {
                         lock,
-                        work: WorkPacket::cpu(self.scale(view.length(child))),
+                        work: WorkPacket::cpu(self.scale(tree.length(child))),
                     });
                 }
                 other => unreachable!("invalid node under stage: {}", other.tag()),
@@ -227,11 +225,11 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     fn pipe_ir(&mut self, pipe: NodeId) -> machsim::prog::PipeSection {
         let mut items = Vec::new();
         let mut stages = 0u32;
-        let view = self.view;
-        for item in view.expanded(pipe) {
+        let tree = self.tree;
+        for item in tree.expanded(pipe) {
             let mut stage_ops = Vec::new();
-            for st in view.expanded(item) {
-                match view.kind(st) {
+            for st in tree.expanded(item) {
+                match tree.kind(st) {
                     ViewKind::Stage { .. } => stage_ops.push(self.stage_ops(st)),
                     other => unreachable!("invalid node under pipe item: {}", other.tag()),
                 }
@@ -245,13 +243,13 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
     }
 
     fn section_ir(&mut self, sec: NodeId) -> ParSection {
-        let view = self.view;
-        let nowait = match view.kind(sec) {
+        let tree = self.tree;
+        let nowait = match tree.kind(sec) {
             ViewKind::Sec { nowait, .. } => nowait,
             other => unreachable!("expected Sec, got {}", other.tag()),
         };
         let tasks: TaskList = if self.opts.expand_runs {
-            view.expanded(sec)
+            tree.expanded(sec)
                 .map(|t| self.task_body(t))
                 .collect::<Vec<_>>()
                 .into()
@@ -262,7 +260,7 @@ impl<'t, V: TreeView<'t>> Gen<'t, V> {
             // charge the cached per-body overhead in one multiply —
             // exactly the sum the expanded path accumulates one memo hit
             // at a time.
-            let runs: Vec<(Rc<TaskBody>, u32)> = view
+            let runs: Vec<(Rc<TaskBody>, u32)> = tree
                 .child_runs(sec)
                 .map(|(t, count)| {
                     let body = self.task_body(t);
@@ -319,8 +317,8 @@ fn body_overhead(body: &TaskBody, opts: &SynthOptions) -> u64 {
 }
 
 /// Burden factor of a top-level region under `opts`.
-fn region_burden<'t, V: TreeView<'t>>(view: V, sec: NodeId, opts: &SynthOptions) -> f64 {
-    match view.kind(sec) {
+fn region_burden(tree: &FlatTree, sec: NodeId, opts: &SynthOptions) -> f64 {
+    match tree.kind(sec) {
         ViewKind::Sec { burden, .. } | ViewKind::Pipe { burden, .. } if opts.use_burden => {
             burden_factor(burden, opts.threads)
         }
@@ -328,44 +326,26 @@ fn region_burden<'t, V: TreeView<'t>>(view: V, sec: NodeId, opts: &SynthOptions)
     }
 }
 
-/// Generate the program the synthesizer would measure for top-level
-/// section (or pipeline) `sec`, plus the logical traversal-overhead
+/// Generate the program the synthesizer would measure for section (or
+/// pipeline) `sec`, a *flat* node id of `flat` (map pointer-tree ids
+/// with [`FlatTree::flat_id`]), plus the logical traversal-overhead
 /// cycles it embeds. Public so the run-batched and force-expanded
 /// emission paths can be compared structurally (`tests/ff_runaware.rs`).
 pub fn section_program(
-    tree: &ProgramTree,
-    sec: NodeId,
-    opts: &SynthOptions,
-) -> (ParallelProgram, u64) {
-    section_program_on(tree, sec, opts)
-}
-
-/// [`section_program`] over a pre-built [`FlatTree`] arena; `sec` is a
-/// *flat* node id (map pointer-tree ids with [`FlatTree::flat_id`]).
-pub fn section_program_flat(
     flat: &FlatTree,
     sec: NodeId,
     opts: &SynthOptions,
 ) -> (ParallelProgram, u64) {
-    section_program_on(flat, sec, opts)
-}
-
-fn section_program_on<'t, V: TreeView<'t>>(
-    view: V,
-    sec: NodeId,
-    opts: &SynthOptions,
-) -> (ParallelProgram, u64) {
-    let burden = region_burden(view, sec, opts);
+    let burden = region_burden(flat, sec, opts);
     let mut gen = Gen {
-        view,
+        tree: flat,
         factor: burden,
         opts: *opts,
         memo: HashMap::new(),
         ovh_memo: HashMap::new(),
         overhead_emitted: 0,
-        _tree: PhantomData,
     };
-    let top_op = match view.kind(sec) {
+    let top_op = match flat.kind(sec) {
         ViewKind::Pipe { .. } => POp::Pipe(gen.pipe_ir(sec)),
         _ => POp::Par(gen.section_ir(sec)),
     };
@@ -374,14 +354,14 @@ fn section_program_on<'t, V: TreeView<'t>>(
 
 /// Generate the section's IR and measure it on `machine` (fresh or
 /// freshly [`machsim::Machine::reset`]).
-fn run_section<'t, V: TreeView<'t>>(
-    view: V,
+fn run_section(
+    tree: &FlatTree,
     sec: NodeId,
     opts: &SynthOptions,
     machine: &mut machsim::Machine,
 ) -> Result<SectionEmul, RunError> {
-    let (program, overhead_emitted) = section_program_on(view, sec, opts);
-    let burden = region_burden(view, sec, opts);
+    let (program, overhead_emitted) = section_program(tree, sec, opts);
+    let burden = region_burden(tree, sec, opts);
 
     let is_pipe = matches!(program.ops.first(), Some(POp::Pipe(_)));
     let stats = match opts.paradigm {
@@ -411,7 +391,7 @@ fn run_section<'t, V: TreeView<'t>>(
         );
     }
     Ok(SectionEmul {
-        serial_cycles: view.length(sec),
+        serial_cycles: tree.length(sec),
         gross_cycles: gross,
         net_cycles: net,
         burden,
@@ -426,36 +406,14 @@ fn run_section<'t, V: TreeView<'t>>(
 /// Each section still observes a logically fresh machine (clock at 0).
 /// The tree is flattened into a [`FlatTree`] arena first; IR generation
 /// walks the contiguous run buffer. Use [`predict_flat`] to amortise
-/// the conversion, or [`predict_ptr`] for the pointer-tree baseline.
+/// the conversion.
 pub fn predict(tree: &ProgramTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    let flat = FlatTree::from_tree(tree);
-    predict_on(&flat, opts)
+    predict_flat(&FlatTree::from_tree(tree), opts)
 }
 
 /// [`predict`] directly over a pre-built [`FlatTree`] arena.
 pub fn predict_flat(flat: &FlatTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    predict_on(flat, opts)
-}
-
-/// [`predict`] over the pointer tree without flattening — the baseline
-/// leg of the arena-vs-pointer benchmark and equivalence tests.
-pub fn predict_ptr(tree: &ProgramTree, opts: &SynthOptions) -> Result<SynthPrediction, RunError> {
-    predict_on(tree, opts)
-}
-
-fn predict_on<'t, V: TreeView<'t>>(
-    view: V,
-    opts: &SynthOptions,
-) -> Result<SynthPrediction, RunError> {
-    let mut machine = machsim::Machine::new(opts.machine);
-    let mut used = false;
-    predict_with(view, opts, move |sec| {
-        if used {
-            machine.reset();
-        }
-        used = true;
-        run_section(view, sec, opts, &mut machine)
-    })
+    predict_on(flat, opts, machsim::Machine::new(opts.machine))
 }
 
 /// [`predict`], recording every measurement machine's scheduler events
@@ -468,32 +426,27 @@ pub fn predict_with_obs(
     opts: &SynthOptions,
     obs: prophet_obs::ObsHandle,
 ) -> Result<SynthPrediction, RunError> {
-    let flat = FlatTree::from_tree(tree);
-    let view = &flat;
     let mut machine = machsim::Machine::new(opts.machine);
     machine.attach_obs(obs);
-    let mut used = false;
-    predict_with(view, opts, move |sec| {
-        if used {
-            machine.reset();
-        }
-        used = true;
-        run_section(view, sec, opts, &mut machine)
-    })
+    predict_on(&FlatTree::from_tree(tree), opts, machine)
 }
 
-fn predict_with<'t, V: TreeView<'t>>(
-    view: V,
+/// Measure every top-level region of `tree` on `machine`, resetting it
+/// between regions, and add the top-level serial time analytically.
+fn predict_on(
+    tree: &FlatTree,
     opts: &SynthOptions,
-    mut emul: impl FnMut(NodeId) -> Result<SectionEmul, RunError>,
+    mut machine: machsim::Machine,
 ) -> Result<SynthPrediction, RunError> {
     assert!(opts.threads >= 1, "synthesizer needs at least one thread");
-    let serial_cycles = view.total_length();
-    let serial_top = view.top_level_serial_length();
+    let serial_cycles = tree.total_length();
+    let mut emulated_total = tree.top_level_serial_length();
     let mut sections = Vec::new();
-    let mut emulated_total = serial_top;
-    for sec in view.top_level_regions() {
-        let e = emul(sec)?;
+    for (i, sec) in tree.top_level_regions().into_iter().enumerate() {
+        if i > 0 {
+            machine.reset();
+        }
+        let e = run_section(tree, sec, opts, &mut machine)?;
         emulated_total += e.net_cycles;
         sections.push(e);
     }

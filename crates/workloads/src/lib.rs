@@ -26,6 +26,9 @@
 //! [`dag_wl`] (fork-join reduction tree with stragglers plus a pipelined
 //! tail) and [`numaskew`] (NUMA-skewed bandwidth-bound scan).
 //!
+//! [`registry`] names the whole suite at paper size ([`by_name`],
+//! [`NAMED`]) for the CLI, the benches and the tests.
+//!
 //! [`real`] turns a profiled tree into the *actually parallelised* program
 //! and runs it on the simulated machine with per-task DRAM traffic — the
 //! reproduction's stand-in for the paper's "Real" measurements.
@@ -36,6 +39,7 @@ pub mod numaskew;
 pub mod ompscr;
 pub mod pipeline_wl;
 pub mod real;
+pub mod registry;
 pub mod shapes;
 pub mod spec;
 pub mod test1;
@@ -48,6 +52,7 @@ pub use pipeline_wl::{PipelineParams, PipelineWl};
 #[cfg(feature = "obs")]
 pub use real::run_real_with_obs;
 pub use real::{real_program, run_real, run_real_on, RealOptions, RealResult};
+pub use registry::{by_name, NAMED};
 pub use spec::{BenchSpec, Benchmark};
 pub use test1::{Test1, Test1Params};
 pub use test2::{Test2, Test2Params};

@@ -4,7 +4,7 @@
 //!
 //! Two comparisons per point:
 //!
-//! * **FF**: `ffemu::predict` with `expand_runs: false` (run-aware, the
+//! * **FF**: `ffemu::predict_flat` with `expand_runs: false` (run-aware, the
 //!   default) against `expand_runs: true` (forced per-iteration heap
 //!   emulation). Cycles, speedup bits, and per-section breakdowns must
 //!   match exactly — the fast path is an optimisation, never a model
@@ -16,19 +16,35 @@
 //!   overhead totals must match, for every section of every profiled
 //!   tree.
 //!
-//! A third axis pins the arena port: the default predict paths walk a
-//! contiguous [`proftree::FlatTree`] arena, and `predict_ptr` keeps the
-//! original pointer-tree walk as a baseline. The two must agree
-//! bit-for-bit — cycles, speedup bits, section breakdowns, and the
-//! synthesizer IR emitted per section — across the same matrix.
+//! Both oracles run on the `FlatTree` arena, the one tree the emulators
+//! walk. A third check pins the arena itself against the pointer tree
+//! as data: for every profiled tree, `FlatTree::diff` finds that
+//! `to_tree` rebuilds it and that no node's kind, length, child runs or
+//! expanded children differ from the pointer tree's own.
 
 use prophet_core::machsim::{Paradigm, Schedule};
 use prophet_core::omp_rt::OmpOverheads;
-use prophet_core::proftree::{self, NodeKind, ProgramTree};
+use prophet_core::proftree::{FlatTree, NodeId, ViewKind};
 use prophet_core::{ffemu, synthemu, Prophet};
-use workloads::npb::{Cg, Ep, Ft, Is, Mg};
-use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
-use workloads::{Benchmark, PipelineParams, PipelineWl, Test1, Test1Params, Test2, Test2Params};
+
+/// The paper-size workloads of the matrix, by registry name.
+const WORKLOADS: [&str; 15] = [
+    "md",
+    "lu",
+    "fft",
+    "qsort",
+    "pi",
+    "mandelbrot",
+    "jacobi",
+    "ep",
+    "ft",
+    "mg",
+    "cg",
+    "is",
+    "pipeline",
+    "test1:3",
+    "test2:3",
+];
 
 const THREADS: [u32; 5] = [1, 2, 4, 8, 12];
 
@@ -40,29 +56,6 @@ fn schedules() -> Vec<Schedule> {
         Schedule::dynamic1(),
         Schedule::Dynamic { chunk: 4 },
         Schedule::Guided { min_chunk: 1 },
-    ]
-}
-
-fn all_workloads() -> Vec<(&'static str, Box<dyn Benchmark>)> {
-    vec![
-        ("md", Box::new(Md::paper()) as Box<dyn Benchmark>),
-        ("lu", Box::new(Lu::paper())),
-        ("fft", Box::new(Fft::paper())),
-        ("qsort", Box::new(QSort::paper())),
-        ("pi", Box::new(Pi::paper())),
-        ("mandelbrot", Box::new(Mandelbrot::paper())),
-        ("jacobi", Box::new(Jacobi::paper())),
-        ("ep", Box::new(Ep::paper())),
-        ("ft", Box::new(Ft::paper())),
-        ("mg", Box::new(Mg::paper())),
-        ("cg", Box::new(Cg::paper())),
-        ("is", Box::new(Is::paper())),
-        (
-            "pipeline",
-            Box::new(PipelineWl::new(PipelineParams::transcoder(120))),
-        ),
-        ("test1", Box::new(Test1::new(Test1Params::random(3)))),
-        ("test2", Box::new(Test2::new(Test2Params::random(3)))),
     ]
 }
 
@@ -78,12 +71,10 @@ fn ff_opts(cpus: u32, schedule: Schedule, expand_runs: bool) -> ffemu::FfOptions
     }
 }
 
-/// Assert run-aware FF equals forced-expansion FF on `tree`, exactly,
-/// and that the arena walk (`predict`, the default) equals the
-/// pointer-tree walk (`predict_ptr`) bit-for-bit.
-fn assert_ff_equivalent(name: &str, tree: &ProgramTree, cpus: u32, schedule: Schedule) {
-    let fast = ffemu::predict(tree, ff_opts(cpus, schedule, false));
-    let slow = ffemu::predict(tree, ff_opts(cpus, schedule, true));
+/// Assert run-aware FF equals forced-expansion FF on `flat`, exactly.
+fn assert_ff_equivalent(name: &str, flat: &FlatTree, cpus: u32, schedule: Schedule) {
+    let fast = ffemu::predict_flat(flat, ff_opts(cpus, schedule, false));
+    let slow = ffemu::predict_flat(flat, ff_opts(cpus, schedule, true));
     let ctx = format!("{name} cpus={cpus} sched={schedule:?}");
     assert_eq!(fast.predicted_cycles, slow.predicted_cycles, "{ctx}");
     assert_eq!(fast.serial_cycles, slow.serial_cycles, "{ctx}");
@@ -93,94 +84,38 @@ fn assert_ff_equivalent(name: &str, tree: &ProgramTree, cpus: u32, schedule: Sch
         "{ctx}: speedup bits differ"
     );
     assert_eq!(fast.sections, slow.sections, "{ctx}: section breakdowns");
-
-    // The run-aware leg again, through the pointer-tree walk: `fast`
-    // came off the arena, `ptr` must match it bit-for-bit.
-    let ptr = ffemu::predict_ptr(tree, ff_opts(cpus, schedule, false));
-    assert_eq!(fast.predicted_cycles, ptr.predicted_cycles, "{ctx}: arena");
-    assert_eq!(fast.serial_cycles, ptr.serial_cycles, "{ctx}: arena");
-    assert_eq!(
-        fast.speedup.to_bits(),
-        ptr.speedup.to_bits(),
-        "{ctx}: arena speedup bits differ from pointer walk"
-    );
-    assert_eq!(fast.sections, ptr.sections, "{ctx}: arena sections");
 }
 
 /// Assert run-batched synthesizer IR equals per-iteration emission for
-/// every Sec/Pipe node in `tree`.
-fn assert_syn_equivalent(name: &str, tree: &ProgramTree, threads: u32, schedule: Schedule) {
+/// every Sec/Pipe node in `flat`.
+fn assert_syn_equivalent(name: &str, flat: &FlatTree, threads: u32, schedule: Schedule) {
     let mut batched = synthemu::SynthOptions::new(threads, Paradigm::OpenMp);
     batched.schedule = schedule;
     batched.use_burden = true;
     let mut expanded = batched;
     expanded.expand_runs = true;
-    let flat = proftree::FlatTree::from_tree(tree);
-    proftree::visit::walk(tree, |id, _| {
-        if matches!(
-            tree.node(id).kind,
-            NodeKind::Sec { .. } | NodeKind::Pipe { .. }
-        ) {
-            let (pb, ob) = synthemu::section_program(tree, id, &batched);
-            let (pe, oe) = synthemu::section_program(tree, id, &expanded);
+    for id in 0..flat.len() as NodeId {
+        if matches!(flat.kind(id), ViewKind::Sec { .. } | ViewKind::Pipe { .. }) {
+            let (pb, ob) = synthemu::section_program(flat, id, &batched);
+            let (pe, oe) = synthemu::section_program(flat, id, &expanded);
             let ctx = format!("{name} sec={id} threads={threads} sched={schedule:?}");
             assert_eq!(pb, pe, "{ctx}: programs differ");
             assert_eq!(ob, oe, "{ctx}: overhead totals differ");
-            // The arena emitter must generate the identical program.
-            let (pf, of) = synthemu::section_program_flat(&flat, flat.flat_id(id), &batched);
-            assert_eq!(pb, pf, "{ctx}: arena program differs");
-            assert_eq!(ob, of, "{ctx}: arena overhead differs");
         }
-        true
-    });
-}
-
-/// End-to-end arena-vs-pointer agreement at one matrix point per
-/// emulator (the expensive legs — full emulation / IR machine runs —
-/// so once per workload, not once per matrix cell; the cell-level
-/// equivalence above already pins the cheap paths everywhere).
-fn assert_arena_end_to_end(name: &str, tree: &ProgramTree) {
-    let cpus = 4;
-    let sched = Schedule::static_block();
-
-    let flat = ffemu::predict(tree, ff_opts(cpus, sched, true));
-    let ptr = ffemu::predict_ptr(tree, ff_opts(cpus, sched, true));
-    assert_eq!(flat.predicted_cycles, ptr.predicted_cycles, "{name}: ff");
-    assert_eq!(
-        flat.speedup.to_bits(),
-        ptr.speedup.to_bits(),
-        "{name}: ff expanded arena speedup bits differ from pointer walk"
-    );
-    assert_eq!(flat.sections, ptr.sections, "{name}: ff sections");
-
-    let mut opts = synthemu::SynthOptions::new(cpus, Paradigm::OpenMp);
-    opts.schedule = sched;
-    opts.use_burden = true;
-    match (
-        synthemu::predict(tree, &opts),
-        synthemu::predict_ptr(tree, &opts),
-    ) {
-        (Ok(f), Ok(p)) => {
-            assert_eq!(f.predicted_cycles, p.predicted_cycles, "{name}: syn");
-            assert_eq!(f.serial_cycles, p.serial_cycles, "{name}: syn");
-            assert_eq!(
-                f.speedup.to_bits(),
-                p.speedup.to_bits(),
-                "{name}: syn arena speedup bits differ from pointer walk"
-            );
-        }
-        (f, p) => panic!("{name}: syn predict paths disagree on success: {f:?} vs {p:?}"),
     }
 }
 
 #[test]
 fn runaware_matches_expanded_across_workload_matrix() {
     let prophet = Prophet::new();
-    for (name, w) in all_workloads() {
+    for name in WORKLOADS {
+        let w = workloads::by_name(name).expect("registry name");
         let profiled = prophet.profile(w.as_ref());
+        let flat = FlatTree::from_tree(&profiled.tree);
+        assert_eq!(flat.diff(&profiled.tree), None, "{name}: arena view");
         for &cpus in &THREADS {
             for sched in schedules() {
-                assert_ff_equivalent(name, &profiled.tree, cpus, sched);
+                assert_ff_equivalent(name, &flat, cpus, sched);
             }
         }
         // The synthesizer IR depends on threads only through the burden
@@ -188,9 +123,8 @@ fn runaware_matches_expanded_across_workload_matrix() {
         // into the program), but sweep the same axes to pin that down.
         for &threads in &THREADS {
             for sched in schedules() {
-                assert_syn_equivalent(name, &profiled.tree, threads, sched);
+                assert_syn_equivalent(name, &flat, threads, sched);
             }
         }
-        assert_arena_end_to_end(name, &profiled.tree);
     }
 }

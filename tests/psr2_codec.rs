@@ -13,9 +13,7 @@ use std::sync::Arc;
 use prophet_core::{codec, Prophet};
 use store::{crc32, KeyedStore, ProfileStore};
 use sweep::{GridSpec, Overrides, PredictorSpec, SweepEngine, WorkloadSpec};
-use workloads::npb::{Cg, Ep, Ft, Is, Mg};
-use workloads::ompscr::{Fft, Jacobi, Lu, Mandelbrot, Md, Pi, QSort};
-use workloads::{Benchmark, PipelineParams, PipelineWl, Test1, Test1Params, Test2, Test2Params};
+use workloads::{Test1, Test1Params, Test2, Test2Params};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("prophet-psr2-it-{tag}-{}", std::process::id()));
@@ -38,28 +36,25 @@ fn light_prophet() -> Prophet {
     Prophet::builder().calibration(quick_cal()).build()
 }
 
-fn all_workloads() -> Vec<(&'static str, Box<dyn Benchmark>)> {
-    vec![
-        ("md", Box::new(Md::paper()) as Box<dyn Benchmark>),
-        ("lu", Box::new(Lu::paper())),
-        ("fft", Box::new(Fft::paper())),
-        ("qsort", Box::new(QSort::paper())),
-        ("pi", Box::new(Pi::paper())),
-        ("mandelbrot", Box::new(Mandelbrot::paper())),
-        ("jacobi", Box::new(Jacobi::paper())),
-        ("ep", Box::new(Ep::paper())),
-        ("ft", Box::new(Ft::paper())),
-        ("mg", Box::new(Mg::paper())),
-        ("cg", Box::new(Cg::paper())),
-        ("is", Box::new(Is::paper())),
-        (
-            "pipeline",
-            Box::new(PipelineWl::new(PipelineParams::transcoder(120))),
-        ),
-        ("test1", Box::new(Test1::new(Test1Params::random(3)))),
-        ("test2", Box::new(Test2::new(Test2Params::random(3)))),
-    ]
-}
+/// The paper-size workloads every codec check runs over, by registry
+/// name.
+const WORKLOADS: [&str; 15] = [
+    "md",
+    "lu",
+    "fft",
+    "qsort",
+    "pi",
+    "mandelbrot",
+    "jacobi",
+    "ep",
+    "ft",
+    "mg",
+    "cg",
+    "is",
+    "pipeline",
+    "test1:3",
+    "test2:3",
+];
 
 /// PSR2 encode → decode reproduces a profile whose serde-JSON form is
 /// byte-identical to the original's, for every shipped workload — the
@@ -67,7 +62,8 @@ fn all_workloads() -> Vec<(&'static str, Box<dyn Benchmark>)> {
 #[test]
 fn psr2_round_trips_byte_identically_across_all_workloads() {
     let prophet = light_prophet();
-    for (name, w) in all_workloads() {
+    for name in WORKLOADS {
+        let w = workloads::by_name(name).expect("registry name");
         let profiled = prophet.profile(w.as_ref());
         let mut bin = Vec::new();
         codec::encode_profiled(&profiled, &mut bin);
